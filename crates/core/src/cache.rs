@@ -213,17 +213,17 @@ impl SharedEnumCache {
     /// canonical Θq list) via `compute` on a miss.
     pub(crate) fn partition_or_compute(
         &self,
-        key: Vec<EqualityConstraint>,
+        key: &[EqualityConstraint],
         compute: impl FnOnce() -> Vec<Vec<usize>>,
     ) -> SharedPartition {
-        if let Some(p) = self.partitions.lock().unwrap().get(&key) {
+        if let Some(p) = self.partitions.lock().unwrap().get(key) {
             return Arc::clone(p);
         }
         let p = Arc::new(compute());
         self.partitions
             .lock()
             .unwrap()
-            .entry(key)
+            .entry(key.to_vec())
             .or_insert_with(|| Arc::clone(&p))
             .clone()
     }
@@ -329,15 +329,15 @@ mod tests {
     fn partitions_flush_on_pending_changes_only() {
         let cache = SharedEnumCache::new();
         let key: Vec<EqualityConstraint> = Vec::new();
-        let p = cache.partition_or_compute(key.clone(), || vec![vec![0]]);
+        let p = cache.partition_or_compute(&key, || vec![vec![0]]);
         assert_eq!(*p, vec![vec![0]]);
         // Base flips keep partitions.
         cache.note_base_flips(&[0]);
-        let again = cache.partition_or_compute(key.clone(), || panic!("must be cached"));
+        let again = cache.partition_or_compute(&key, || panic!("must be cached"));
         assert_eq!(*again, vec![vec![0]]);
         // Pending appends flush them.
         cache.note_pending_appended();
-        let recomputed = cache.partition_or_compute(key, || vec![vec![1]]);
+        let recomputed = cache.partition_or_compute(&key, || vec![vec![1]]);
         assert_eq!(*recomputed, vec![vec![1]]);
     }
 }

@@ -44,10 +44,10 @@ use std::sync::{Arc, Mutex};
 
 use crate::db::BlockchainDb;
 use crate::error::CoreError;
-use crate::precompute::{query_components, Precomputed};
+use crate::precompute::{refined_components, Precomputed};
 use bcdb_governor::{Budget, BudgetSpec, ExhaustionReason, UNGOVERNED};
 use bcdb_graph::{CliqueCache, CliqueStrategy};
-use bcdb_query::{canonical_equalities, ConjunctiveQuery, EqualityConstraint};
+use bcdb_query::EqualityConstraint;
 use bcdb_query::{
     atom_graph_complete, evaluate_aggregate, evaluate_aggregate_governed, evaluate_bool,
     evaluate_bool_delta_governed, evaluate_bool_governed, is_connected, monotonicity, prepare,
@@ -575,26 +575,27 @@ impl ReuseCtx {
             .saturating_sub(1)
     }
 
-    /// The refined `Gq,ind` partition for `q`, computed at most once per
-    /// distinct canonical Θq list (per backing-store lifetime).
+    /// The refined `Gq,ind` partition for the canonical Θq list `thetas`
+    /// (see [`bcdb_query::canonical_equalities`]), computed at most once
+    /// per distinct list (per backing-store lifetime).
     pub(crate) fn partition(
         &self,
         bcdb: &BlockchainDb,
         pre: &Precomputed,
-        q: &ConjunctiveQuery,
-    ) -> Arc<Vec<Vec<usize>>> {
-        let key = canonical_equalities(q);
+        thetas: &[EqualityConstraint],
+    ) -> SharedPartition {
+        let compute = || refined_components(bcdb, pre, thetas);
         if let Some(cache) = &self.shared {
-            return cache.partition_or_compute(key, || query_components(bcdb, pre, q));
+            return cache.partition_or_compute(thetas, compute);
         }
-        if let Some(p) = self.partitions.lock().unwrap().get(&key) {
+        if let Some(p) = self.partitions.lock().unwrap().get(thetas) {
             return Arc::clone(p);
         }
-        let p = Arc::new(query_components(bcdb, pre, q));
+        let p = Arc::new(compute());
         self.partitions
             .lock()
             .unwrap()
-            .entry(key)
+            .entry(thetas.to_vec())
             .or_insert_with(|| Arc::clone(&p))
             .clone()
     }

@@ -23,7 +23,7 @@ use bcdb_graph::{
     expand_subproblem_governed_in, maximal_cliques_governed_in, split_subproblems, BitSet,
     CliqueEntry, CliqueSubproblem, ExpandArena, StealScheduler, UndirectedGraph, Visit, WorkUnit,
 };
-use bcdb_query::{constant_patterns, ConstantPattern, PreparedQuery};
+use bcdb_query::{canonical_equalities, constant_patterns, ConstantPattern, PreparedQuery};
 use bcdb_storage::{Source, TxId, WorldMask};
 use bcdb_telemetry::probes;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -258,7 +258,7 @@ pub(crate) fn run(
     let components: Arc<Vec<Vec<usize>>> = {
         let _span = probes::CORE_PHASE_THETA_NS.span();
         match reuse {
-            Some(ctx) => ctx.partition(bcdb, pre, pq.query()),
+            Some(ctx) => ctx.partition(bcdb, pre, &canonical_equalities(pq.query())),
             None => Arc::new(query_components(bcdb, pre, pq.query())),
         }
     };

@@ -656,9 +656,20 @@ pub fn query_components(
     pre: &Precomputed,
     q: &bcdb_query::ConjunctiveQuery,
 ) -> Vec<Vec<usize>> {
+    refined_components(bcdb, pre, &bcdb_query::derive_query_equalities(q))
+}
+
+/// The ΘI components of [`Precomputed::ind_uf`] refined with the equality
+/// constraints `thetas`, as sorted member lists ordered by first member.
+/// The partition depends on `thetas` only as a set, never on the query
+/// that produced it.
+pub(crate) fn refined_components(
+    bcdb: &BlockchainDb,
+    pre: &Precomputed,
+    thetas: &[EqualityConstraint],
+) -> Vec<Vec<usize>> {
     let mut uf = pre.ind_uf.clone();
-    let thetas_q = bcdb_query::derive_query_equalities(q);
-    union_by_equalities(bcdb, &thetas_q, &mut uf);
+    union_by_equalities(bcdb, thetas, &mut uf);
     uf.into_components()
 }
 

@@ -67,7 +67,7 @@ use crate::precompute::Precomputed;
 use crate::witness::minimize_witness;
 use bcdb_governor::{Budget, BudgetSpec, ExhaustionReason};
 use bcdb_graph::CliqueStrategy;
-use bcdb_query::DenialConstraint;
+use bcdb_query::{DenialConstraint, EqualityConstraint};
 use bcdb_storage::{DbSnapshot, RelationId, StorageBackend, Tuple, TxId, WorldMask};
 use bcdb_telemetry::probes;
 
@@ -443,6 +443,20 @@ impl Solver {
             components_reused: reused,
             elapsed: budget.elapsed(),
         }
+    }
+
+    /// The refined `Gq,ind` partition (sorted component member lists) for
+    /// a canonical Θq list, as [`bcdb_query::canonical_equalities`] derives
+    /// it. Served through the same reuse path as the checks: with an
+    /// attached [`SharedEnumCache`] the partition is read from, or computed
+    /// once into, the cache's partition store, so the next check with the
+    /// same Θq reuses it.
+    pub fn partition(&self, thetas: &[EqualityConstraint]) -> Arc<Vec<Vec<usize>>> {
+        let reuse = match &self.shared {
+            Some(cache) => ReuseCtx::with_shared(Arc::clone(cache)),
+            None => ReuseCtx::new(),
+        };
+        reuse.partition(&self.db, &self.pre, thetas)
     }
 
     /// Shrinks a violation witness to an inclusion-minimal possible world

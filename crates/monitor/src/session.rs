@@ -43,15 +43,15 @@
 use crate::event::{ChainEvent, NamedPending, NamedTuples, UndoOp, UndoRecord};
 use crate::journal::{Journal, JournalRecord};
 use bcdb_core::{
-    query_components, BlockchainDb, CoreError, DcSatOptions, DcSatStats, GovernedOutcome,
-    Precomputed, SharedEnumCache, Solver, SolverStats, Verdict,
+    BlockchainDb, CoreError, DcSatOptions, DcSatStats, GovernedOutcome, Precomputed,
+    SharedEnumCache, Solver, SolverStats, Verdict,
 };
 use bcdb_governor::{BudgetSpec, ExhaustionReason, RetryPolicy};
 use bcdb_graph::StealScheduler;
-use bcdb_query::DenialConstraint;
+use bcdb_query::{canonical_equalities, DenialConstraint, EqualityConstraint};
 use bcdb_storage::{Catalog, ConstraintSet, RelationId, StorageBackend, Tuple, TxId};
 use bcdb_telemetry::probes;
-use rustc_hash::FxHashSet;
+use rustc_hash::{FxHashMap, FxHashSet};
 use std::fmt;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -322,6 +322,10 @@ struct Registered {
     /// Relations the constraint mentions (positive and negated atoms of
     /// its body) — the footprint used by the arrival dirty rule.
     relations: Vec<RelationId>,
+    /// Θq in canonical order: the key of the refined `Gq,ind` partition
+    /// the arrival dirty rule consults, shared by every constraint that
+    /// refines `Gind` the same way.
+    thetas: Vec<EqualityConstraint>,
     /// The verdict from the last re-check, if any.
     last: Option<Verdict>,
     /// Whether an event since the last re-check may have changed the
@@ -370,24 +374,6 @@ impl MonitorSession {
     pub fn new(catalog: Catalog, constraints: ConstraintSet) -> MonitorSession {
         let bcdb = BlockchainDb::new(catalog, constraints);
         MonitorSession::with_solver(Solver::builder(bcdb).build())
-    }
-
-    /// A session seeded from a full snapshot (base rows by id, pending
-    /// transactions in issue order).
-    pub fn from_snapshot(
-        catalog: Catalog,
-        constraints: ConstraintSet,
-        base: &[(RelationId, Tuple)],
-        pending: &[(String, Vec<(RelationId, Tuple)>)],
-    ) -> Result<MonitorSession, MonitorError> {
-        let mut bcdb = BlockchainDb::new(catalog, constraints);
-        for (rel, tuple) in base {
-            bcdb.insert_current(*rel, tuple.clone())?;
-        }
-        for (name, tuples) in pending {
-            bcdb.add_transaction(name.clone(), tuples.iter().cloned())?;
-        }
-        Ok(MonitorSession::with_solver(Solver::builder(bcdb).build()))
     }
 
     /// Rebuilds a session by replaying journal `records` (e.g. from
@@ -536,10 +522,12 @@ impl MonitorSession {
             .collect();
         relations.sort();
         relations.dedup();
+        let thetas = canonical_equalities(dc.body());
         let slot = Registered {
             name: name.into(),
             dc,
             relations,
+            thetas,
             last: None,
             dirty: true,
             retired: false,
@@ -1258,34 +1246,40 @@ impl MonitorSession {
     /// stays clean unless that component contains a transaction writing
     /// one of the constraint's relations. (Cached `Unknown` and
     /// never-checked constraints are always dirty.)
+    ///
+    /// The component depends on the constraint only through its canonical
+    /// Θq, so it is looked up once per distinct Θq and reduced to the
+    /// relations its members write; each constraint then intersects that
+    /// set with its own footprint.
     fn mark_dirty_after_arrival(&mut self, tx: TxId) {
-        let db = self.solver.db();
-        let pre = self.solver.precomputed_ref();
+        let solver = &self.solver;
+        // Per distinct Θq: the relations written inside `tx`'s component
+        // (`None` if `tx` is in none, which leaves everything dirty).
+        let mut written: FxHashMap<&[EqualityConstraint], Option<Vec<RelationId>>> =
+            FxHashMap::default();
         for c in &mut self.constraints {
-            if c.dirty || c.retired {
+            let Registered {
+                relations,
+                thetas,
+                last,
+                dirty,
+                retired,
+                ..
+            } = c;
+            if *dirty || *retired {
                 continue;
             }
-            match &c.last {
+            *dirty = match last {
                 Some(Verdict::Holds) | Some(Verdict::Violated(_)) => {
-                    let components = query_components(db, pre, c.dc.body());
-                    let touched = components
-                        .iter()
-                        .find(|comp| comp.contains(&(tx.0 as usize)))
-                        .map(|comp| {
-                            comp.iter().any(|&i| {
-                                db.pending()[i]
-                                    .tuples
-                                    .iter()
-                                    .any(|(rel, _)| c.relations.contains(rel))
-                            })
-                        })
-                        .unwrap_or(true);
-                    if touched {
-                        c.dirty = true;
-                    }
+                    let thetas: &[EqualityConstraint] = thetas;
+                    written
+                        .entry(thetas)
+                        .or_insert_with(|| component_relations(solver, thetas, tx))
+                        .as_ref()
+                        .is_none_or(|rels| relations.iter().any(|r| rels.contains(r)))
                 }
-                _ => c.dirty = true,
-            }
+                _ => true,
+            };
         }
     }
 
@@ -1558,6 +1552,27 @@ fn run_check(
         attempts,
         panics,
     }
+}
+
+/// The relations written by the members of `tx`'s component in the
+/// partition for `thetas`, sorted; `None` if no component holds `tx`.
+fn component_relations(
+    solver: &Solver,
+    thetas: &[EqualityConstraint],
+    tx: TxId,
+) -> Option<Vec<RelationId>> {
+    let partition = solver.partition(thetas);
+    let component = partition
+        .iter()
+        .find(|comp| comp.binary_search(&tx.index()).is_ok())?;
+    let pending = solver.db().pending();
+    let mut rels: Vec<RelationId> = component
+        .iter()
+        .flat_map(|&i| pending[i].tuples.iter().map(|(rel, _)| *rel))
+        .collect();
+    rels.sort();
+    rels.dedup();
+    Some(rels)
 }
 
 /// Field-wise `after - before` over session stats (both cumulative

@@ -460,17 +460,16 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, crate::MonitorError> {
     let ex0 = export(&scenario)?;
     let dcs = soak_constraints(&ex0);
 
-    let mut session = MonitorSession::from_snapshot(
-        ex0.catalog.clone(),
-        ex0.constraints.clone(),
-        &ex0.base,
-        &ex0.pending,
-    )?;
+    let mut session = MonitorSession::new(ex0.catalog.clone(), ex0.constraints.clone());
     session.set_config(cfg.monitor.clone());
     for (name, dc) in &dcs {
         session.register(name.clone(), dc.clone());
     }
     session.attach_journal(Journal::create(&cfg.journal_path)?);
+    // Bootstrap through the journal: a depth-0 reorg loads the initial
+    // chain, so a replay from the journal's first record rebuilds the
+    // bootstrap pending set before any event that names it.
+    session.apply(&reorg_event(&ex0, 0))?;
     if let Some(storage_dir) = &cfg.storage_dir {
         // A stale snapshot store would confuse recovery drills.
         let _ = std::fs::remove_dir_all(storage_dir.join("snapshots"));

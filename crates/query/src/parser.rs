@@ -107,18 +107,42 @@ fn lex(input: &str) -> Result<Vec<Lexeme>, QueryError> {
                 i += 1;
             }
             '\'' => {
+                // `\'` and `\\` escape a quote and a backslash, mirroring
+                // how `Value::Text` renders; any other escape is rejected.
+                let mut text = String::new();
                 let mut j = i + 1;
-                while j < bytes.len() && bytes[j] as char != '\'' {
-                    j += 1;
+                let mut seg = j;
+                loop {
+                    match bytes.get(j) {
+                        Some(b'\'') => break,
+                        Some(b'\\') => match bytes.get(j + 1) {
+                            Some(&c @ (b'\\' | b'\'')) => {
+                                text.push_str(&input[seg..j]);
+                                text.push(c as char);
+                                j += 2;
+                                seg = j;
+                            }
+                            Some(_) => {
+                                return Err(QueryError::Parse {
+                                    offset: j,
+                                    detail: "invalid escape in string literal (use \\' or \\\\)"
+                                        .into(),
+                                })
+                            }
+                            None => j += 1,
+                        },
+                        Some(_) => j += 1,
+                        None => {
+                            return Err(QueryError::Parse {
+                                offset: start,
+                                detail: "unterminated string literal".into(),
+                            })
+                        }
+                    }
                 }
-                if j >= bytes.len() {
-                    return Err(QueryError::Parse {
-                        offset: start,
-                        detail: "unterminated string literal".into(),
-                    });
-                }
+                text.push_str(&input[seg..j]);
                 out.push(Lexeme {
-                    tok: Tok::Str(input[i + 1..j].to_string()),
+                    tok: Tok::Str(text),
                     offset: start,
                 });
                 i = j + 1;
@@ -490,7 +514,8 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcdb_storage::{RelationSchema, ValueType};
+    use crate::ast::QueryBuilder;
+    use bcdb_storage::{RelationSchema, Value, ValueType};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -551,6 +576,28 @@ mod tests {
         assert_eq!(q.positive.len(), 4);
         assert_eq!(q.comparisons.len(), 1);
         assert_eq!(q.comparisons[0].op, CmpOp::Ne);
+    }
+
+    #[test]
+    fn escaped_text_literals_round_trip() {
+        let cat = catalog();
+        for pk in ["it's", "back\\slash", "p', pk != 'q", "\\'"] {
+            let dc = QueryBuilder::new(&cat)
+                .atom("Trusted", |a| a.constant(pk))
+                .build_conjunctive()
+                .map(DenialConstraint::Conjunctive)
+                .unwrap();
+            let text = dc.display(&cat).to_string();
+            let back = parse_denial_constraint(&text, &cat).unwrap();
+            assert_eq!(back.display(&cat).to_string(), text);
+            assert_eq!(
+                back.body().positive[0].terms[0],
+                Term::Const(Value::text(pk))
+            );
+        }
+        for bad in ["q() <- Trusted('a\\n')", "q() <- Trusted('a\\')"] {
+            assert!(parse_denial_constraint(bad, &cat).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! keys, signatures), and booleans (e.g. flag columns).
 
 use std::cmp::Ordering;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// The type of a [`Value`].
@@ -129,7 +129,19 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Int(i) => write!(f, "{i}"),
-            Value::Text(s) => write!(f, "'{s}'"),
+            // Quote and backslash are escaped, so the rendering is
+            // injective: it keys the verdict memo and the base-verdict
+            // cache, and the query parser reads it back.
+            Value::Text(s) => {
+                f.write_char('\'')?;
+                for ch in s.chars() {
+                    if matches!(ch, '\\' | '\'') {
+                        f.write_char('\\')?;
+                    }
+                    f.write_char(ch)?;
+                }
+                f.write_char('\'')
+            }
             Value::Bool(b) => write!(f, "{b}"),
         }
     }

@@ -2,6 +2,7 @@
 #![allow(dead_code)] // each test binary uses a different subset
 
 pub mod instances;
+pub mod stream;
 
 use bcdb_chain::bitcoin_catalog;
 use bcdb_core::BlockchainDb;

@@ -255,3 +255,59 @@ fn pinned_duplicate_shapes_agree_across_flavours() {
     assert_eq!(wide, baseline);
     assert!(hits > 0, "six subs over two shapes must share enumerations");
 }
+
+/// Text constants render escaped, so the two sharing keys built from a
+/// constraint's text — the verdict memo's canonical shape and the
+/// solver's base-verdict cache key — cannot collide. Unescaped, the one
+/// comparison `_0 != "p', _0 != 'q"` renders exactly like the two
+/// comparisons `_0 != 'p', _0 != 'q'`, and whichever constraint is
+/// checked first hands its verdict to the other.
+#[test]
+fn quoted_text_constants_keep_sharing_keys_distinct() {
+    use bcdb_core::{BlockchainDb, SharedEnumCache, Solver, Verdict};
+    use bcdb_query::ast::{CmpOp, QueryBuilder};
+    use bcdb_query::DenialConstraint;
+    use std::sync::Arc;
+
+    let mut cat = Catalog::new();
+    cat.add(RelationSchema::new("R", [("x", ValueType::Text)]).unwrap())
+        .unwrap();
+    // Naming the variable `_0` makes the display the canonical shape, so
+    // one pair exercises both keys.
+    let one = DenialConstraint::Conjunctive(
+        QueryBuilder::new(&cat)
+            .atom("R", |a| a.var("_0"))
+            .cmp_const("_0", CmpOp::Ne, "p', _0 != 'q")
+            .build_conjunctive()
+            .unwrap(),
+    );
+    let two = DenialConstraint::Conjunctive(
+        QueryBuilder::new(&cat)
+            .atom("R", |a| a.var("_0"))
+            .cmp_const("_0", CmpOp::Ne, "p")
+            .cmp_const("_0", CmpOp::Ne, "q")
+            .build_conjunctive()
+            .unwrap(),
+    );
+    assert_ne!(one.canonical_shape(&cat), two.canonical_shape(&cat));
+    assert_ne!(one.display(&cat).to_string(), two.display(&cat).to_string());
+
+    let mut db = BlockchainDb::new(cat, ConstraintSet::new());
+    let r = db.database().catalog().resolve("R").unwrap();
+    db.insert_current(r, tuple!["q"]).unwrap();
+    for shared in [false, true] {
+        let mut builder = Solver::builder(db.clone());
+        if shared {
+            builder = builder.shared_cache(Arc::new(SharedEnumCache::new()));
+        }
+        let mut solver = builder.build();
+        // Base row 'q' differs from the long constant but not from 'q'.
+        let v1 = solver.check(&one).unwrap().verdict;
+        let v2 = solver.check(&two).unwrap().verdict;
+        assert!(
+            matches!(v1, Verdict::Violated(_)),
+            "shared={shared}: {v1:?}"
+        );
+        assert_eq!(v2, Verdict::Holds, "shared={shared}");
+    }
+}
